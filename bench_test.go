@@ -241,14 +241,8 @@ func BenchmarkBulyanMemoized(b *testing.B) {
 // BenchmarkDistanceMatrix contrasts the distance-matrix kernels at the
 // Lemma 4.1 stress point (n = 40, d = 10000): the seed's per-pair
 // subtract-square loop ("naive") against the blocked Gram-trick kernel
-// (SSE2 2×4 tiles on amd64), serial and parallel. The blocked/naive
-// ratio is the tracked speedup (≥3× on amd64). The parallel variant is
-// recorded for the trajectory but tracks the blocked timing here: the
-// working set (~7.8 Mflop) sits under the kernel's minParallelFlops
-// threshold, so NewDistanceMatrixParallel degrades to the serial
-// blocked kernel rather than paying goroutine overhead for no win.
-// Goroutines engage at larger working sets (see BenchmarkKrumParallel
-// at d = 100000 and BenchmarkDistanceMatrixLargeN).
+// (SSE2 2×4 tiles on amd64). The blocked/naive ratio is the tracked
+// speedup (≥3× on amd64).
 func BenchmarkDistanceMatrix(b *testing.B) {
 	const n, d = 40, 10000
 	vs := benchVectors(n, d)
@@ -260,11 +254,6 @@ func BenchmarkDistanceMatrix(b *testing.B) {
 	b.Run("blocked", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			vec.NewDistanceMatrix(vs)
-		}
-	})
-	b.Run("blocked-parallel8", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			vec.NewDistanceMatrixParallel(vs, 8)
 		}
 	})
 	// Per-kernel-tier variants of the blocked build (the "blocked"
@@ -488,25 +477,6 @@ func boolMetric(v bool) float64 {
 	return 0
 }
 
-// BenchmarkKrumParallel contrasts the serial and goroutine-parallel
-// distance matrix in the deep-learning regime d ≫ n (the Lemma 4.1
-// cost lives almost entirely there).
-func BenchmarkKrumParallel(b *testing.B) {
-	const n, d, f = 30, 100000, 8
-	vs := benchVectors(n, d)
-	dst := make([]float64, d)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			rule := &krum.Krum{F: f, Parallel: workers}
-			for i := 0; i < b.N; i++ {
-				if err := rule.Aggregate(dst, vs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationHiddenCoordinate regenerates the E6 extension table.
 func BenchmarkAblationHiddenCoordinate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -540,34 +510,14 @@ func BenchmarkNonIID(b *testing.B) {
 	}
 }
 
-// --- Large-n tier: screened selection ---------------------------------
+// --- Large-n tier -----------------------------------------------------
 
-// benchByzVectors builds n proposals in the Byzantine regime the
-// screened selection targets: n−f honest workers drawing gradients at
-// σ = 1 plus f colluding outliers at σ = 200 (the attack.Gaussian
-// scale used throughout the experiment suite). The norm screen can
-// only discard rows that are geometrically far from the honest
-// cluster, so this is the input family where pruning pays.
-func benchByzVectors(n, f, d int) [][]float64 {
-	rng := vec.NewRNG(benchSeed)
-	vs := make([][]float64, n)
-	for i := range vs {
-		sigma := 1.0
-		if i >= n-f {
-			sigma = 200.0
-		}
-		vs[i] = rng.NewNormal(d, 0, sigma)
-	}
-	return vs
-}
-
-// screenedTiers is the large-n benchmark tier shared by
-// BenchmarkKrumScreened and BenchmarkDistanceMatrixLargeN. d shrinks
-// as n grows to keep wall clock and the Θ(n²) matrix footprint sane
-// (n = 10000 already needs ~800 MB for the distance matrix alone);
-// the 10k point only runs when KRUM_LARGE_BENCH is set — use
-// `make bench-large`.
-var screenedTiers = []struct {
+// largeNTiers is the large-n benchmark tier of
+// BenchmarkDistanceMatrixLargeN. d shrinks as n grows to keep wall
+// clock and the Θ(n²) matrix footprint sane (n = 10000 already needs
+// ~800 MB for the distance matrix alone); the 10k point only runs when
+// KRUM_LARGE_BENCH is set — use `make bench-large`.
+var largeNTiers = []struct {
 	n, d  int
 	large bool
 }{
@@ -576,91 +526,12 @@ var screenedTiers = []struct {
 	{n: 10000, d: 128, large: true},
 }
 
-// BenchmarkKrumScreened contrasts dense and screened Krum selection
-// across the large-n tier on Byzantine-regime inputs. The screened
-// subtests report two tracked metrics: pruned/op (rows discarded per
-// selection purely from norm/triangle lower bounds) and dotfrac (the
-// fraction of the n² full inner products the screened path actually
-// computed — the acceptance target is < 0.50 at n = 1000). Both paths
-// select the same index by construction (bounds may prune, never
-// decide; the exact re-check decides), which the bench re-asserts
-// before timing.
-func BenchmarkKrumScreened(b *testing.B) {
-	for _, tier := range screenedTiers {
-		if tier.large && os.Getenv("KRUM_LARGE_BENCH") == "" {
-			continue
-		}
-		n, d := tier.n, tier.d
-		f := (n - 3) / 2
-		vs := benchByzVectors(n, f, d)
-		rule := krum.NewKrum(f)
-
-		dense := krum.NewEngine(0)
-		denseSel, err := dense.Select(rule, vs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		screened := krum.NewEngine(0).EnableScreening()
-		screenedSel, err := screened.Select(rule, vs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(denseSel) != 1 || len(screenedSel) != 1 || denseSel[0] != screenedSel[0] {
-			b.Fatalf("n=%d d=%d: screened selection %v != dense %v", n, d, screenedSel, denseSel)
-		}
-		// The selection is deterministic, so one un-timed screener run
-		// yields the exact per-op work profile for the metrics below.
-		scr := vec.NewScreener(vs)
-		scr.SelectKSmallest(n-f-2, 1)
-		st := scr.Stats()
-
-		b.Run(fmt.Sprintf("n=%d/d=%d/dense", n, d), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := dense.Select(rule, vs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("n=%d/d=%d/screened", n, d), func(b *testing.B) {
-			start := vec.ScreenPruneCount()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := screened.Select(rule, vs); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(vec.ScreenPruneCount()-start)/float64(b.N), "pruned/op")
-			b.ReportMetric(float64(st.Dots)/(float64(n)*float64(n)), "dotfrac")
-		})
-		// Per-kernel-tier screened selection: the bound computation and
-		// the exact re-check both ride the tier kernels, so the tier
-		// spread shows up here too (d = 1000 keeps the dots dominant).
-		for _, kt := range vec.AvailableTiers() {
-			b.Run(fmt.Sprintf("n=%d/d=%d/screened-%s", n, d, kt), func(b *testing.B) {
-				restore, err := vec.SetKernelTier(kt)
-				if err != nil {
-					b.Skip(err)
-				}
-				defer restore()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := screened.Select(rule, vs); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkDistanceMatrixLargeN measures the full-matrix kernels at
-// the large-n tier, where — unlike the n = 40 stress point of
-// BenchmarkDistanceMatrix — the total work clears the kernel's
-// minParallelFlops threshold and the parallel build genuinely engages.
-// The blocked/parallel8 ratio at n ≥ 1000 is the tracked number.
+// BenchmarkDistanceMatrixLargeN measures the full-matrix build at the
+// large-n tier, where the n²/2 pair count rather than the per-pair
+// depth d sets Lemma 4.1's Θ(n²·d) bill (contrast the n = 40,
+// d = 10⁴ stress point of BenchmarkDistanceMatrix).
 func BenchmarkDistanceMatrixLargeN(b *testing.B) {
-	for _, tier := range screenedTiers {
+	for _, tier := range largeNTiers {
 		if tier.large && os.Getenv("KRUM_LARGE_BENCH") == "" {
 			continue
 		}
@@ -669,11 +540,6 @@ func BenchmarkDistanceMatrixLargeN(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/d=%d/blocked", n, d), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				vec.NewDistanceMatrix(vs)
-			}
-		})
-		b.Run(fmt.Sprintf("n=%d/d=%d/parallel8", n, d), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				vec.NewDistanceMatrixParallel(vs, 8)
 			}
 		})
 	}

@@ -20,6 +20,7 @@ import (
 
 	"krum"
 	"krum/internal/metrics"
+	"krum/internal/stats"
 	"krum/internal/vec"
 )
 
@@ -68,7 +69,9 @@ func run() int {
 					fmt.Fprintf(os.Stderr, "%v\n", err)
 					return 2
 				}
-				nanos, err := timeRule(rule, dst, vectors)
+				nanos, err := stats.NanosPerOp(10*time.Millisecond, 5000, func() error {
+					return rule.Aggregate(dst, vectors)
+				})
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "%s n=%d d=%d: %v\n", spec, n, d, err)
 					return 1
@@ -89,30 +92,6 @@ func run() int {
 		return 1
 	}
 	return 0
-}
-
-// timeRule measures one rule's aggregation latency with calibrated
-// repetitions.
-func timeRule(rule krum.Rule, dst []float64, vectors [][]float64) (float64, error) {
-	start := time.Now()
-	if err := rule.Aggregate(dst, vectors); err != nil {
-		return 0, err
-	}
-	first := time.Since(start)
-	reps := 1
-	if first < 10*time.Millisecond {
-		reps = int(10*time.Millisecond/(first+time.Nanosecond)) + 1
-		if reps > 5000 {
-			reps = 5000
-		}
-	}
-	start = time.Now()
-	for i := 0; i < reps; i++ {
-		if err := rule.Aggregate(dst, vectors); err != nil {
-			return 0, err
-		}
-	}
-	return float64(time.Since(start).Nanoseconds()) / float64(reps), nil
 }
 
 func parseInts(s string) ([]int, error) {

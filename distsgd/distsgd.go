@@ -130,10 +130,6 @@ type Config struct {
 	// (sgd.ParseSchedule) — e.g. "inverset(gamma=0.5,power=0.75,t0=200)".
 	// Exactly one of Schedule and ScheduleSpec must be set.
 	ScheduleSpec string
-	// Parallel is the number of goroutines used for the shared
-	// per-round distance matrix (0 = serial); see
-	// vec.NewDistanceMatrixParallel for the d ≫ n crossover.
-	Parallel int
 	// Incremental carries the distance matrix across rounds through the
 	// engine's RoundCache: each round the engine recomputes only the
 	// rows of proposals that actually changed (exact comparison against
@@ -148,16 +144,6 @@ type Config struct {
 	// cache is bypassed (full rebuild) on the first round, on a shape
 	// change, and when every proposal changed.
 	Incremental bool
-	// Screened routes Krum/Multi-Krum selection through the engine's
-	// norm + triangle-inequality screening (vec.Screener): candidate
-	// rows whose score lower bound exceeds the running selection
-	// threshold are pruned without computing their distances, and every
-	// surviving row is re-checked exactly, so results are bit-identical
-	// with or without the flag. Worthwhile at large n, where pruning
-	// attacks the n² inner-product bill itself; composes with
-	// Incremental (the cached screener repairs only changed rows'
-	// bounds between rounds).
-	Screened bool
 	// ArrivalSpec selects the bounded-staleness asynchronous mode
 	// through the arrival registry (arrival.Parse) — e.g.
 	// "bounded(tau=3)" or "bernoulli(p=0.5,tau=8,damp=0.1)". Each
@@ -321,12 +307,9 @@ func Run(cfg Config) (*Result, error) {
 	// rounds (every rule fully overwrites dst). With Incremental set
 	// the engine additionally carries the matrix across rounds,
 	// diffing each round's proposals lazily on first use.
-	engine := core.NewEngine(cfg.Parallel)
+	engine := core.NewEngine()
 	if cfg.Incremental {
 		engine.EnableCache()
-	}
-	if cfg.Screened {
-		engine.EnableScreening()
 	}
 	// The async state is seeded from cfg.Seed directly (not from a
 	// rootRNG draw), so enabling an arrival process never shifts the

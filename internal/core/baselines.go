@@ -115,7 +115,9 @@ func (Medoid) SelectContext(ctx *RoundContext) ([]int, error) {
 // Select returns the index of the sum-of-squared-distance minimiser,
 // ties broken by smallest index.
 func (m Medoid) Select(vectors [][]float64) ([]int, error) {
-	return m.SelectContext(NewRoundContext(vectors))
+	ctx := NewRoundContext(vectors)
+	defer ctx.release()
+	return m.SelectContext(ctx)
 }
 
 // AggregateContext implements ContextRule.
@@ -133,7 +135,9 @@ func (m Medoid) AggregateContext(dst []float64, ctx *RoundContext) error {
 
 // Aggregate implements Rule.
 func (m Medoid) Aggregate(dst []float64, vectors [][]float64) error {
-	return m.AggregateContext(dst, NewRoundContext(vectors))
+	ctx := NewRoundContext(vectors)
+	defer ctx.release()
+	return m.AggregateContext(dst, ctx)
 }
 
 // CoordMedian is the coordinate-wise median, a classical robust

@@ -88,7 +88,9 @@ func (md *MinimalDiameter) SelectContext(ctx *RoundContext) ([]int, error) {
 // Select returns the indices of the minimal-diameter subset of size
 // n − F, ordered ascending.
 func (md *MinimalDiameter) Select(vectors [][]float64) ([]int, error) {
-	return md.SelectContext(NewRoundContext(vectors))
+	ctx := NewRoundContext(vectors)
+	defer ctx.release()
+	return md.SelectContext(ctx)
 }
 
 // AggregateContext implements ContextRule: the average of the
@@ -111,7 +113,9 @@ func (md *MinimalDiameter) AggregateContext(dst []float64, ctx *RoundContext) er
 
 // Aggregate implements Rule: the average of the minimal-diameter subset.
 func (md *MinimalDiameter) Aggregate(dst []float64, vectors [][]float64) error {
-	return md.AggregateContext(dst, NewRoundContext(vectors))
+	ctx := NewRoundContext(vectors)
+	defer ctx.release()
+	return md.AggregateContext(dst, ctx)
 }
 
 // subsetDiameter returns the largest pairwise squared distance within

@@ -125,7 +125,9 @@ func (b *Bulyan) SelectContext(ctx *RoundContext) ([]int, error) {
 // Select implements Selector: the θ = n − 2f indices chosen by the
 // iterated-Krum phase, in selection order.
 func (b *Bulyan) Select(vectors [][]float64) ([]int, error) {
-	return b.SelectContext(NewRoundContext(vectors))
+	ctx := NewRoundContext(vectors)
+	defer ctx.release()
+	return b.SelectContext(ctx)
 }
 
 // AggregateContext implements ContextRule: the coordinate-wise trimmed
@@ -177,7 +179,9 @@ func (b *Bulyan) AggregateContext(dst []float64, ctx *RoundContext) error {
 // Aggregate implements Rule: the coordinate-wise trimmed mean of the
 // selected set around the median.
 func (b *Bulyan) Aggregate(dst []float64, vectors [][]float64) error {
-	return b.AggregateContext(dst, NewRoundContext(vectors))
+	ctx := NewRoundContext(vectors)
+	defer ctx.release()
+	return b.AggregateContext(dst, ctx)
 }
 
 // medianOf returns the median of vals; it scrambles the slice order.

@@ -16,7 +16,7 @@ func cacheRound(e *Engine, vs [][]float64) *vec.DistanceMatrix {
 // proposals builds nothing and recomputes no rows.
 func TestRoundCacheReusesUnchangedRound(t *testing.T) {
 	vs := engineTestVectors(9, 24, 7)
-	e := NewEngine(0).EnableCache()
+	e := NewEngine().EnableCache()
 	first := cacheRound(e, vs)
 	builds := vec.MatrixBuildCount()
 	rows := vec.MatrixRowUpdateCount()
@@ -43,7 +43,7 @@ func TestRoundCacheReusesUnchangedRound(t *testing.T) {
 func TestRoundCacheIncrementalMatchesRebuild(t *testing.T) {
 	const n, d = 11, 40
 	vs := engineTestVectors(n, d, 3)
-	e := NewEngine(0).EnableCache()
+	e := NewEngine().EnableCache()
 	cacheRound(e, vs)
 
 	next := vec.CloneAll(vs)
@@ -72,7 +72,7 @@ func TestRoundCacheIncrementalMatchesRebuild(t *testing.T) {
 // round, a shape change (n or d), and a change-set covering every
 // proposal — must all build rather than update.
 func TestRoundCacheBypasses(t *testing.T) {
-	e := NewEngine(0).EnableCache()
+	e := NewEngine().EnableCache()
 	before := vec.MatrixBuildCount()
 	cacheRound(e, engineTestVectors(6, 20, 1)) // first round
 	cacheRound(e, engineTestVectors(7, 20, 2)) // n changed
@@ -93,7 +93,7 @@ func TestRoundCacheBypasses(t *testing.T) {
 func TestRoundCacheUndeclaredChangeSet(t *testing.T) {
 	const n, d = 8, 30
 	vs := engineTestVectors(n, d, 5)
-	e := NewEngine(0).EnableCache()
+	e := NewEngine().EnableCache()
 	e.Round(vs).Distances()
 	next := vec.CloneAll(vs)
 	next[4] = engineTestVectors(1, d, 50)[0]
@@ -115,7 +115,7 @@ func TestRoundCacheUndeclaredChangeSet(t *testing.T) {
 // TestRoundCacheChangedReportsAll: Changed on a cold or shape-mismatched
 // cache names every index.
 func TestRoundCacheChangedReportsAll(t *testing.T) {
-	e := NewEngine(0).EnableCache()
+	e := NewEngine().EnableCache()
 	vs := engineTestVectors(5, 10, 8)
 	changed := e.Cache().Changed(vs)
 	if len(changed) != 5 {
@@ -135,7 +135,7 @@ func TestRoundCacheChangedReportsAll(t *testing.T) {
 // behavior is unchanged).
 func TestUncachedEngineIgnoresSetChanged(t *testing.T) {
 	vs := engineTestVectors(6, 12, 11)
-	e := NewEngine(0)
+	e := NewEngine()
 	if e.Cache() != nil {
 		t.Fatal("plain engine has a cache")
 	}
@@ -144,23 +144,5 @@ func TestUncachedEngineIgnoresSetChanged(t *testing.T) {
 	e.Round(vs).SetChanged(nil).Distances()
 	if got := vec.MatrixBuildCount() - before; got != 2 {
 		t.Errorf("uncached engine built %d matrices, want 2", got)
-	}
-}
-
-// TestRoundCacheParallelBuild: the cache's full rebuilds honor the
-// engine's parallelism and stay bit-identical to serial ones.
-func TestRoundCacheParallelBuild(t *testing.T) {
-	const n, d = 10, 64
-	vs := engineTestVectors(n, d, 13)
-	par := NewEngine(4).EnableCache()
-	ser := NewEngine(0).EnableCache()
-	a := cacheRound(par, vs)
-	b := cacheRound(ser, vs)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if a.At(i, j) != b.At(i, j) {
-				t.Fatalf("cell (%d,%d): parallel %v, serial %v", i, j, a.At(i, j), b.At(i, j))
-			}
-		}
 	}
 }

@@ -14,9 +14,8 @@ import (
 // first asks for it. Contexts are single-round objects: the proposals
 // must not be mutated while a context referencing them is in use.
 type RoundContext struct {
-	vectors  [][]float64
-	parallel int
-	dm       *vec.DistanceMatrix
+	vectors [][]float64
+	dm      *vec.DistanceMatrix
 	// cache, when non-nil, serves Distances through the engine's
 	// cross-round cache instead of building a fresh matrix.
 	cache *RoundCache
@@ -24,43 +23,11 @@ type RoundContext struct {
 	// changedKnown distinguishes "nothing changed" from "unknown".
 	changed      []int
 	changedKnown bool
-	// screened offers rules a vec.Screener (norm + triangle-inequality
-	// pruned selection) instead of the full matrix; scr memoizes it.
-	screened bool
-	scr      *vec.Screener
 }
 
 // NewRoundContext returns a context over one round's proposals.
 func NewRoundContext(vectors [][]float64) *RoundContext {
 	return &RoundContext{vectors: vectors}
-}
-
-// SetParallel sets the number of goroutines used if/when the distance
-// matrix is built (0 = serial) and returns the context for chaining. It
-// must be called before the first Distances call to have any effect.
-func (c *RoundContext) SetParallel(workers int) *RoundContext {
-	c.parallel = workers
-	return c
-}
-
-// EnsureParallel raises the worker count used for the not-yet-built
-// distance matrix; once the matrix exists it is a no-op. Rules that
-// carry their own parallelism knob (Krum.Parallel) call this so the
-// knob keeps working when the rule runs against an engine-provided
-// context.
-func (c *RoundContext) EnsureParallel(workers int) {
-	if c.dm == nil && workers > c.parallel {
-		c.parallel = workers
-	}
-}
-
-// SetScreened toggles the screened selection path for this round (see
-// Engine.Screened) and returns the context for chaining. Like
-// SetParallel it must precede the first Distances/Screener call to
-// have any effect.
-func (c *RoundContext) SetScreened(on bool) *RoundContext {
-	c.screened = on
-	return c
 }
 
 // SetChanged declares the change-set for a cached round: the indices
@@ -94,48 +61,23 @@ func (c *RoundContext) Vectors() [][]float64 { return c.vectors }
 // that need to retain distances across rounds must copy them out.
 func (c *RoundContext) Distances() *vec.DistanceMatrix {
 	if c.dm == nil {
-		if scr := c.Screener(); scr != nil {
-			// A screened round that still needs the full matrix (e.g.
-			// Bulyan's iterated selection reads every active row each
-			// iteration) completes the screener's lazily-filled matrix —
-			// bit-identical to a dense build, with already-exact rows
-			// reused.
-			c.dm = scr.Materialize()
-		} else if c.cache != nil {
-			c.dm = c.cache.distances(c.vectors, c.changed, c.changedKnown, c.parallel)
+		if c.cache != nil {
+			c.dm = c.cache.distances(c.vectors, c.changed, c.changedKnown)
 		} else {
-			c.dm = buildMatrix(c.vectors, c.parallel)
+			c.dm = vec.NewDistanceMatrix(c.vectors)
 		}
 	}
 	return c.dm
 }
 
-// Screener returns the round's screened-selection view (see
-// vec.Screener), creating it on first use, or nil when the round should
-// use the dense path: the engine is not screened, or the full matrix
-// was already built (at which point every score is a cheap row scan and
-// bounds could save nothing). Rules treat a nil screener as "take the
-// dense path"; both paths select bit-identical indices.
-func (c *RoundContext) Screener() *vec.Screener {
-	if !c.screened || c.dm != nil {
-		return nil
+// release recycles a matrix the context built for itself once the
+// one-shot call that created the context is done with it. A matrix
+// served by the cross-round cache stays with the cache.
+func (c *RoundContext) release() {
+	if c.dm != nil && c.cache == nil {
+		c.dm.Release()
+		c.dm = nil
 	}
-	if c.scr == nil {
-		if c.cache != nil {
-			c.scr = c.cache.screener(c.vectors, c.changed, c.changedKnown)
-		} else {
-			c.scr = vec.NewScreener(c.vectors)
-		}
-	}
-	return c.scr
-}
-
-// buildMatrix is the one place a fresh distance matrix is constructed.
-func buildMatrix(vectors [][]float64, parallel int) *vec.DistanceMatrix {
-	if parallel > 1 {
-		return vec.NewDistanceMatrixParallel(vectors, parallel)
-	}
-	return vec.NewDistanceMatrix(vectors)
 }
 
 // ContextSelector is implemented by selection rules whose Select can
@@ -190,11 +132,6 @@ func AggregateContext(rule Rule, dst []float64, ctx *RoundContext) error {
 // (concurrent scenario cells each own their engine).
 type RoundCache struct {
 	dm *vec.DistanceMatrix
-	// scr is the screened counterpart: a cache serving a screened
-	// engine retains the screener (its lazily-filled matrix plus
-	// pruning bounds) instead of a dense matrix. At most one of dm/scr
-	// is non-nil.
-	scr *vec.Screener
 	// stats, exposed through Stats for tests and diagnostics.
 	builds  uint64
 	reuses  uint64
@@ -235,36 +172,22 @@ func (rc *RoundCache) Changed(vectors [][]float64) []int {
 		}
 		return all
 	}
-	equal := func(i int, v []float64) bool { return rc.dm.VectorEqual(i, v) }
-	if rc.dm == nil {
-		equal = func(i int, v []float64) bool { return rc.scr.VectorEqual(i, v) }
-	}
 	var changed []int
 	for i, v := range vectors {
-		if !equal(i, v) {
+		if !rc.dm.VectorEqual(i, v) {
 			changed = append(changed, i)
 		}
 	}
 	return changed
 }
 
-// reusable reports whether the cached matrix (or screener) matches the
-// round's shape.
+// reusable reports whether the cached matrix matches the round's shape.
 func (rc *RoundCache) reusable(vectors [][]float64) bool {
 	n := len(vectors)
-	var cn, cd int
-	switch {
-	case rc.dm != nil:
-		cn, cd = rc.dm.N(), rc.dm.Dim()
-	case rc.scr != nil:
-		cn, cd = rc.scr.N(), rc.scr.Dim()
-	default:
+	if rc.dm == nil || rc.dm.N() != n || n == 0 {
 		return false
 	}
-	if cn != n || n == 0 {
-		return false
-	}
-	return cd == len(vectors[0])
+	return rc.dm.Dim() == len(vectors[0])
 }
 
 // distances serves one round's matrix: full rebuild when the cache is
@@ -272,15 +195,9 @@ func (rc *RoundCache) reusable(vectors [][]float64) bool {
 // incremental row updates for the changed set. An unknown change-set
 // is diffed here, so cached engines stay transparent to callers that
 // never declare one.
-func (rc *RoundCache) distances(vectors [][]float64, changed []int, changedKnown bool, parallel int) *vec.DistanceMatrix {
-	if rc.scr != nil {
-		// The cache has been serving screened rounds; a dense request
-		// routes through the screener so its already-exact rows are
-		// reused, and the cache keeps the screener as its store.
-		return rc.screener(vectors, changed, changedKnown).Materialize()
-	}
+func (rc *RoundCache) distances(vectors [][]float64, changed []int, changedKnown bool) *vec.DistanceMatrix {
 	if !rc.reusable(vectors) {
-		rc.dm = buildMatrix(vectors, parallel)
+		rc.dm = vec.NewDistanceMatrix(vectors)
 		rc.builds++
 		return rc.dm
 	}
@@ -288,7 +205,7 @@ func (rc *RoundCache) distances(vectors [][]float64, changed []int, changedKnown
 		changed = rc.Changed(vectors)
 	}
 	if len(changed) >= len(vectors) {
-		rc.dm = buildMatrix(vectors, parallel)
+		rc.dm = vec.NewDistanceMatrix(vectors)
 		rc.builds++
 		return rc.dm
 	}
@@ -300,60 +217,18 @@ func (rc *RoundCache) distances(vectors [][]float64, changed []int, changedKnown
 	return rc.dm
 }
 
-// screener serves one screened round's vec.Screener, the analogue of
-// distances for the pruned-selection path: a fresh screener when the
-// cache is cold, the shape changed, or everything changed; otherwise
-// the retained screener with its exact rows and bounds repaired only
-// for the changed vectors (Screener.UpdateRows).
-func (rc *RoundCache) screener(vectors [][]float64, changed []int, changedKnown bool) *vec.Screener {
-	if rc.scr == nil || !rc.reusable(vectors) {
-		rc.dm = nil
-		rc.scr = vec.NewScreener(vectors)
-		rc.builds++
-		return rc.scr
-	}
-	if !changedKnown {
-		changed = rc.Changed(vectors)
-	}
-	if len(changed) >= len(vectors) {
-		rc.scr = vec.NewScreener(vectors)
-		rc.builds++
-		return rc.scr
-	}
-	rc.reuses++
-	if len(changed) > 0 {
-		rc.scr.UpdateRows(changed, vectors)
-		rc.rowUpds += uint64(len(changed))
-	}
-	return rc.scr
-}
-
 // Engine is the shared aggregation engine of the parameter server: it
 // hands out one RoundContext per round so that selection tracking,
 // aggregation, and any diagnostics all share a single distance matrix.
-// The zero value is ready to use (serial matrix construction, no
-// cross-round cache).
+// The zero value is ready to use (no cross-round cache).
 type Engine struct {
-	// Parallel is the number of goroutines used for each round's
-	// distance matrix (0 = serial); see vec.NewDistanceMatrixParallel
-	// for the d ≫ n crossover.
-	Parallel int
-	// Screened switches selection rules to the norm/triangle-inequality
-	// pruned path (vec.Screener): rows whose score lower bound exceeds
-	// the running selection threshold are never computed, and surviving
-	// rows are re-checked exactly, so selected indices stay
-	// bit-identical to the dense path. The knob trades nothing but
-	// wall clock — it exists as a flag (rather than always-on) so both
-	// paths stay benchmarkable and cross-checkable.
-	Screened bool
 	// cache, when enabled, reuses the previous round's matrix through
 	// incremental row updates; see RoundCache.
 	cache *RoundCache
 }
 
-// NewEngine returns an engine building distance matrices with the given
-// number of goroutines (0 = serial).
-func NewEngine(parallel int) *Engine { return &Engine{Parallel: parallel} }
+// NewEngine returns an engine without a cross-round cache.
+func NewEngine() *Engine { return &Engine{} }
 
 // EnableCache switches the engine to cross-round incremental distance
 // updates (idempotent) and returns the engine for chaining. Enabling
@@ -368,17 +243,6 @@ func (e *Engine) EnableCache() *Engine {
 	return e
 }
 
-// EnableScreening switches the engine's selection rules to the
-// screened (pruned) path and returns the engine for chaining. Like
-// EnableCache, it never changes results — only which distances get
-// computed. Screening composes with the cache: a screened cached
-// engine retains the screener across rounds and repairs only changed
-// rows' bounds.
-func (e *Engine) EnableScreening() *Engine {
-	e.Screened = true
-	return e
-}
-
 // Cache returns the engine's cross-round cache, or nil when caching is
 // not enabled.
 func (e *Engine) Cache() *RoundCache { return e.cache }
@@ -388,10 +252,7 @@ func (e *Engine) Cache() *RoundCache { return e.cache }
 // cache; pass the round's change-set with RoundContext.SetChanged to
 // skip the cache's own diff.
 func (e *Engine) Round(vectors [][]float64) *RoundContext {
-	ctx := NewRoundContext(vectors).SetParallel(e.Parallel)
-	ctx.cache = e.cache
-	ctx.screened = e.Screened
-	return ctx
+	return &RoundContext{vectors: vectors, cache: e.cache}
 }
 
 // Select runs a selection rule over one round through a fresh context.

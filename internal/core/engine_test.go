@@ -22,7 +22,7 @@ func TestRoundContextMemoizesMatrix(t *testing.T) {
 	vs := engineTestVectors(n, d, 1)
 	dst := make([]float64, d)
 	rule := NewKrum(f)
-	engine := NewEngine(0)
+	engine := NewEngine()
 
 	before := vec.MatrixBuildCount()
 	ctx := engine.Round(vs)
@@ -56,7 +56,7 @@ func TestEngineMatchesDirectRules(t *testing.T) {
 	const n, d = 15, 7
 	ctx := SpecContext{N: n, F: 3}
 	vs := engineTestVectors(n, d, 2)
-	engine := NewEngine(0)
+	engine := NewEngine()
 	for _, name := range Names() {
 		spec := name
 		if name == "krumk" {
@@ -100,25 +100,6 @@ func TestEngineMatchesDirectRules(t *testing.T) {
 	}
 }
 
-// TestEngineParallelMatrixMatchesSerial: a parallel engine must select
-// identically to a serial one (the matrix entries are the same pairs).
-func TestEngineParallelMatrixMatchesSerial(t *testing.T) {
-	const n, d, f = 13, 32, 3
-	vs := engineTestVectors(n, d, 3)
-	rule := NewKrum(f)
-	serial, err := NewEngine(0).Select(rule, vs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := NewEngine(4).Select(rule, vs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial[0] != parallel[0] {
-		t.Fatalf("parallel engine selected %d, serial %d", parallel[0], serial[0])
-	}
-}
-
 // TestFiniteGuardContextSharesMatrixWhenClean: a guard wrapping a
 // context-aware rule reuses the shared matrix when no proposal needs
 // sanitization, and still neutralizes NaNs when one does.
@@ -127,7 +108,7 @@ func TestFiniteGuardContextSharesMatrixWhenClean(t *testing.T) {
 	vs := engineTestVectors(n, d, 4)
 	dst := make([]float64, d)
 	guard := FiniteGuard{Inner: NewKrum(f)}
-	engine := NewEngine(0)
+	engine := NewEngine()
 
 	before := vec.MatrixBuildCount()
 	ctx := engine.Round(vs)

@@ -73,7 +73,8 @@ func (g FiniteGuard) AggregateContext(dst []float64, ctx *RoundContext) error {
 	sanitized, changed := sanitize(ctx.Vectors(), len(dst))
 	inner := ctx
 	if changed {
-		inner = NewRoundContext(sanitized).SetParallel(ctx.parallel)
+		inner = NewRoundContext(sanitized)
+		defer inner.release()
 	}
 	if err := AggregateContext(g.Inner, dst, inner); err != nil {
 		return fmt.Errorf("guarded %s: %w", g.Inner.Name(), err)
@@ -83,7 +84,9 @@ func (g FiniteGuard) AggregateContext(dst []float64, ctx *RoundContext) error {
 
 // Aggregate implements Rule.
 func (g FiniteGuard) Aggregate(dst []float64, vectors [][]float64) error {
-	return g.AggregateContext(dst, NewRoundContext(vectors))
+	ctx := NewRoundContext(vectors)
+	defer ctx.release()
+	return g.AggregateContext(dst, ctx)
 }
 
 // SelectContext implements ContextSelector semantics when the inner
@@ -100,7 +103,8 @@ func (g FiniteGuard) SelectContext(ctx *RoundContext) ([]int, error) {
 	sanitized, changed := sanitize(ctx.Vectors(), dim)
 	inner := ctx
 	if changed {
-		inner = NewRoundContext(sanitized).SetParallel(ctx.parallel)
+		inner = NewRoundContext(sanitized)
+		defer inner.release()
 	}
 	return SelectContext(sel, inner)
 }
@@ -109,5 +113,7 @@ func (g FiniteGuard) SelectContext(ctx *RoundContext) ([]int, error) {
 // same sanitization so selection histograms stay meaningful under
 // malformed input.
 func (g FiniteGuard) Select(vectors [][]float64) ([]int, error) {
-	return g.SelectContext(NewRoundContext(vectors))
+	ctx := NewRoundContext(vectors)
+	defer ctx.release()
+	return g.SelectContext(ctx)
 }

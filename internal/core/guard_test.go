@@ -115,29 +115,3 @@ func TestFiniteGuardErrors(t *testing.T) {
 		t.Errorf("nil name %q", got)
 	}
 }
-
-func TestKrumParallelMatchesSerial(t *testing.T) {
-	rng := vec.NewRNG(3)
-	for trial := 0; trial < 10; trial++ {
-		n := 5 + rng.Intn(10)
-		d := 1 + rng.Intn(50)
-		f := rng.Intn(n - 3)
-		vs := make([][]float64, n)
-		for i := range vs {
-			vs[i] = rng.NewNormal(d, 0, 2)
-		}
-		serial := Krum{F: f}
-		parallel := Krum{F: f, Parallel: 4}
-		s1, err := serial.Scores(vs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s2, err := parallel.Scores(vs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !vec.ApproxEqual(s1, s2, 0) {
-			t.Fatalf("trial %d: parallel scores differ", trial)
-		}
-	}
-}

@@ -29,11 +29,6 @@ type Krum struct {
 	// resilience precondition) instead of merely requiring the score to
 	// be well defined (n ≥ F + 3).
 	Strict bool
-	// Parallel sets the number of goroutines used for the O(n²·d)
-	// distance matrix (0 = serial). Worth enabling for the
-	// deep-learning regime d ≫ n; see BenchmarkKrumParallel for the
-	// crossover.
-	Parallel int
 }
 
 // NewKrum returns a Krum rule tolerating f Byzantine workers.
@@ -94,7 +89,6 @@ func (k *Krum) scoresInto(ctx *RoundContext, scores []float64) error {
 		return err
 	}
 	n := ctx.N()
-	ctx.EnsureParallel(k.Parallel)
 	dm := ctx.Distances()
 	scratch := vec.GetFloats(neighbours)
 	defer vec.PutFloats(scratch)
@@ -108,33 +102,16 @@ func (k *Krum) scoresInto(ctx *RoundContext, scores []float64) error {
 // returned slice is freshly allocated.
 func (k *Krum) Scores(vectors [][]float64) ([]float64, error) {
 	scores := make([]float64, len(vectors))
-	if err := k.scoresInto(k.round(vectors), scores); err != nil {
+	ctx := NewRoundContext(vectors)
+	defer ctx.release()
+	if err := k.scoresInto(ctx, scores); err != nil {
 		return nil, err
 	}
 	return scores, nil
 }
 
-// round builds the standalone context used by the plain (non-engine)
-// entry points.
-func (k *Krum) round(vectors [][]float64) *RoundContext {
-	return NewRoundContext(vectors).SetParallel(k.Parallel)
-}
-
-// SelectContext implements ContextSelector against a shared round. On
-// a screened round the winner comes from the pruned path — the same
-// index Argmin over the full score slice would produce (including
-// degenerate non-finite inputs, for which the screener falls back to
-// evaluating everything), because the bounded selection orders by the
-// identical (score, index) comparison and pruning is strict.
+// SelectContext implements ContextSelector against a shared round.
 func (k *Krum) SelectContext(ctx *RoundContext) ([]int, error) {
-	neighbours, err := k.prepare(ctx)
-	if err != nil {
-		return nil, err
-	}
-	ctx.EnsureParallel(k.Parallel)
-	if scr := ctx.Screener(); scr != nil {
-		return scr.SelectKSmallest(neighbours, 1), nil
-	}
 	scores := vec.GetFloats(ctx.N())
 	defer vec.PutFloats(scores)
 	if err := k.scoresInto(ctx, scores); err != nil {
@@ -147,7 +124,9 @@ func (k *Krum) SelectContext(ctx *RoundContext) ([]int, error) {
 // minimiser (a single-element slice). Ties resolve to the smallest index
 // because Argmin keeps the first minimum.
 func (k *Krum) Select(vectors [][]float64) ([]int, error) {
-	return k.SelectContext(k.round(vectors))
+	ctx := NewRoundContext(vectors)
+	defer ctx.release()
+	return k.SelectContext(ctx)
 }
 
 // AggregateContext implements ContextRule: dst = V_{i*} with the score
@@ -166,7 +145,9 @@ func (k *Krum) AggregateContext(dst []float64, ctx *RoundContext) error {
 
 // Aggregate implements Rule: dst = V_{i*}.
 func (k *Krum) Aggregate(dst []float64, vectors [][]float64) error {
-	return k.AggregateContext(dst, k.round(vectors))
+	ctx := NewRoundContext(vectors)
+	defer ctx.release()
+	return k.AggregateContext(dst, ctx)
 }
 
 // MultiKrum is the m-Krum variant discussed in the full version of the
@@ -199,9 +180,7 @@ var (
 // Name implements Rule.
 func (mk *MultiKrum) Name() string { return fmt.Sprintf("multikrum(m=%d)", mk.M) }
 
-// SelectContext implements ContextSelector against a shared round. The
-// screened path returns the identical (score, index)-ordered M-subset
-// as KSmallestIndices over the full score slice.
+// SelectContext implements ContextSelector against a shared round.
 func (mk *MultiKrum) SelectContext(ctx *RoundContext) ([]int, error) {
 	if mk.M < 1 {
 		return nil, fmt.Errorf("m = %d (need m ≥ 1): %w", mk.M, ErrBadParameter)
@@ -210,13 +189,6 @@ func (mk *MultiKrum) SelectContext(ctx *RoundContext) ([]int, error) {
 		return nil, fmt.Errorf("m = %d exceeds n = %d: %w", mk.M, ctx.N(), ErrBadParameter)
 	}
 	inner := Krum{F: mk.F, Strict: mk.Strict}
-	neighbours, err := inner.prepare(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if scr := ctx.Screener(); scr != nil {
-		return scr.SelectKSmallest(neighbours, mk.M), nil
-	}
 	scores := vec.GetFloats(ctx.N())
 	defer vec.PutFloats(scores)
 	if err := inner.scoresInto(ctx, scores); err != nil {
@@ -228,7 +200,9 @@ func (mk *MultiKrum) SelectContext(ctx *RoundContext) ([]int, error) {
 // Select returns the indices of the M smallest-score vectors ordered by
 // (score, index).
 func (mk *MultiKrum) Select(vectors [][]float64) ([]int, error) {
-	return mk.SelectContext(NewRoundContext(vectors))
+	ctx := NewRoundContext(vectors)
+	defer ctx.release()
+	return mk.SelectContext(ctx)
 }
 
 // AggregateContext implements ContextRule: dst = (1/M)·Σ V_i over the
@@ -251,5 +225,7 @@ func (mk *MultiKrum) AggregateContext(dst []float64, ctx *RoundContext) error {
 
 // Aggregate implements Rule: dst = (1/M)·Σ V_i over the selected set.
 func (mk *MultiKrum) Aggregate(dst []float64, vectors [][]float64) error {
-	return mk.AggregateContext(dst, NewRoundContext(vectors))
+	ctx := NewRoundContext(vectors)
+	defer ctx.release()
+	return mk.AggregateContext(dst, ctx)
 }

@@ -66,7 +66,9 @@ func (k *KrumK) SelectContext(ctx *RoundContext) ([]int, error) {
 
 // Select implements Selector.
 func (k *KrumK) Select(vectors [][]float64) ([]int, error) {
-	return k.SelectContext(NewRoundContext(vectors))
+	ctx := NewRoundContext(vectors)
+	defer ctx.release()
+	return k.SelectContext(ctx)
 }
 
 // AggregateContext implements ContextRule.
@@ -84,5 +86,7 @@ func (k *KrumK) AggregateContext(dst []float64, ctx *RoundContext) error {
 
 // Aggregate implements Rule.
 func (k *KrumK) Aggregate(dst []float64, vectors [][]float64) error {
-	return k.AggregateContext(dst, NewRoundContext(vectors))
+	ctx := NewRoundContext(vectors)
+	defer ctx.release()
+	return k.AggregateContext(dst, ctx)
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"krum"
@@ -31,6 +32,10 @@ type Lemma41Result struct {
 	NanosPerN2D float64
 }
 
+// lemma41Rounds is the number of timed batches per (n, d) cell; the
+// cell's cost is its fastest batch's.
+const lemma41Rounds = 20
+
 // RunLemma41 executes E3: the Krum cost sweep over n and d.
 func RunLemma41(w io.Writer, scale Scale, seed uint64) (*Lemma41Result, error) {
 	rng := vec.NewRNG(seed)
@@ -43,41 +48,53 @@ func RunLemma41(w io.Writer, scale Scale, seed uint64) (*Lemma41Result, error) {
 		ds = []int{100, 1000}
 	}
 
-	res := &Lemma41Result{}
-	var xs, ys []float64
+	type cell struct {
+		n, d    int
+		vectors [][]float64
+		rule    krum.Rule
+		dst     []float64
+	}
+	var cells []cell
 	for _, n := range ns {
 		for _, d := range ds {
 			vectors := make([][]float64, n)
 			for i := range vectors {
 				vectors[i] = rng.NewNormal(d, 0, 1)
 			}
-			rule := krum.NewKrum((n - 3) / 2)
-			dst := make([]float64, d)
-
-			// Calibrate repetitions to ≈ 20ms of work.
-			reps := 1
-			start := time.Now()
-			if err := rule.Aggregate(dst, vectors); err != nil {
-				return nil, fmt.Errorf("n=%d d=%d: %w", n, d, err)
-			}
-			per := time.Since(start)
-			if per < 20*time.Millisecond {
-				reps = int(20*time.Millisecond/per.Round(time.Nanosecond)) + 1
-				if reps > 2000 {
-					reps = 2000
-				}
-			}
-			start = time.Now()
-			for r := 0; r < reps; r++ {
-				if err := rule.Aggregate(dst, vectors); err != nil {
-					return nil, fmt.Errorf("n=%d d=%d: %w", n, d, err)
-				}
-			}
-			nanos := float64(time.Since(start).Nanoseconds()) / float64(reps)
-			res.Points = append(res.Points, Lemma41Point{N: n, D: d, NanosPerOp: nanos})
-			xs = append(xs, float64(n)*float64(n)*float64(d))
-			ys = append(ys, nanos)
+			cells = append(cells, cell{n: n, d: d, vectors: vectors,
+				rule: krum.NewKrum((n - 3) / 2), dst: make([]float64, d)})
 		}
+	}
+
+	// Each round times one short calibrated batch per cell (≈ 20ms of
+	// work per cell over all rounds), and a cell's cost is its fastest
+	// batch. Preemption and co-running load only ever add time, and
+	// interleaving the cells spreads each one's batches over the whole
+	// sweep, so a slow spell inflates one round of every cell rather
+	// than every round of a few.
+	nanos := make([]float64, len(cells))
+	for i := range nanos {
+		nanos[i] = math.Inf(1)
+	}
+	for round := 0; round < lemma41Rounds; round++ {
+		for i := range cells {
+			c := &cells[i]
+			batch, err := stats.NanosPerOp(20*time.Millisecond/lemma41Rounds, 2000, func() error {
+				return c.rule.Aggregate(c.dst, c.vectors)
+			})
+			if err != nil {
+				return nil, fmt.Errorf("n=%d d=%d: %w", c.n, c.d, err)
+			}
+			nanos[i] = math.Min(nanos[i], batch)
+		}
+	}
+
+	res := &Lemma41Result{}
+	var xs, ys []float64
+	for i, c := range cells {
+		res.Points = append(res.Points, Lemma41Point{N: c.n, D: c.d, NanosPerOp: nanos[i]})
+		xs = append(xs, float64(c.n)*float64(c.n)*float64(c.d))
+		ys = append(ys, nanos[i])
 	}
 	_, slope, r2, err := stats.LinearFit(xs, ys)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"krum/internal/vec"
 )
@@ -223,5 +224,47 @@ func TestLinearFitNoisyR2(t *testing.T) {
 	}
 	if r2 < 0.999 {
 		t.Errorf("r² = %v, want ≈1", r2)
+	}
+}
+
+func TestNanosPerOpRepetitions(t *testing.T) {
+	calls := 0
+	op := func() error { calls++; return nil }
+	// A target far above one call's cost runs the capped batch after
+	// the calibration call.
+	ns, err := NanosPerOp(time.Hour, 7, op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1+7 {
+		t.Errorf("calls = %d, want 8", calls)
+	}
+	if ns < 0 {
+		t.Errorf("ns/op = %v", ns)
+	}
+	// A zero target runs a single timed call.
+	calls = 0
+	if _, err := NanosPerOp(0, 7, op); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 2 {
+		t.Errorf("zero target: calls = %d, want 2", calls)
+	}
+}
+
+func TestNanosPerOpError(t *testing.T) {
+	boom := errors.New("boom")
+	for _, failAt := range []int{1, 3} {
+		calls := 0
+		_, err := NanosPerOp(time.Hour, 5, func() error {
+			calls++
+			if calls == failAt {
+				return boom
+			}
+			return nil
+		})
+		if !errors.Is(err, boom) || calls != failAt {
+			t.Errorf("failing call %d: err %v after %d calls", failAt, err, calls)
+		}
 	}
 }

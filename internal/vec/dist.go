@@ -1,6 +1,9 @@
 package vec
 
-import "sync/atomic"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // matrixBuilds counts DistanceMatrix constructions process-wide; tests
 // use it to assert memoization ("exactly one matrix per aggregation").
@@ -90,9 +93,15 @@ func NewDistanceMatrixNaive(vectors [][]float64) *DistanceMatrix {
 	return m
 }
 
+// shellPool recycles released matrices (see Release) so that one-shot
+// aggregations — a fresh matrix per call, discarded on return — reuse
+// their Θ(n·d + n²) storage instead of allocating it on every call.
+var shellPool sync.Pool // stores *DistanceMatrix
+
 // newShell validates dimensions, copies the vectors into contiguous
-// storage, computes the squared norms, and allocates the zeroed
-// distance matrix. Both constructors and the parallel builder share it.
+// storage, computes the squared norms, and zeroes the distance matrix,
+// recycling a released matrix's storage when one is pooled. Both
+// constructors share it.
 func newShell(vectors [][]float64) *DistanceMatrix {
 	matrixBuilds.Add(1)
 	n := len(vectors)
@@ -100,14 +109,15 @@ func newShell(vectors [][]float64) *DistanceMatrix {
 	if n > 0 {
 		dim = len(vectors[0])
 	}
-	m := &DistanceMatrix{
-		n:    n,
-		dim:  dim,
-		gram: dim > naiveDimMax,
-		vecs: make([]float64, n*dim),
-		nrm:  make([]float64, n),
-		d:    make([]float64, n*n),
+	m, _ := shellPool.Get().(*DistanceMatrix)
+	if m == nil {
+		m = &DistanceMatrix{}
 	}
+	m.n, m.dim, m.gram = n, dim, dim > naiveDimMax
+	m.vecs = resize(m.vecs, n*dim)
+	m.nrm = resize(m.nrm, n)
+	m.d = resize(m.d, n*n)
+	clear(m.d)
 	for i, v := range vectors {
 		checkLen("NewDistanceMatrix", len(v), dim)
 		copy(m.vector(i), v)
@@ -116,20 +126,35 @@ func newShell(vectors [][]float64) *DistanceMatrix {
 	return m
 }
 
+// resize returns s with length n, reallocating only when its capacity
+// is short. The contents are arbitrary.
+func resize(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
+}
+
+// Release hands the matrix's storage back for reuse by a later build.
+// The caller must hold the only reference: neither m nor any slice
+// obtained from it (Row) may be used afterwards.
+func (m *DistanceMatrix) Release() {
+	shellPool.Put(m)
+}
+
 // vector returns the matrix's own copy of vector i.
 func (m *DistanceMatrix) vector(i int) []float64 {
 	return m.vecs[i*m.dim : (i+1)*m.dim]
 }
 
 // buildRowPair fills the strict upper-triangle cells of rows u and u+1
-// and their mirrors: the unit of work the parallel builder distributes
-// (and the serial builder runs at dimensions within one depth block,
-// where buildBlocked would degenerate to the same walk). Working on two
-// rows at once lets the inner loop run the 2×4 tile, which streams each
-// column vector once for two rows. The dots go through the blocked
-// wrappers of gram.go, so the result is bit-identical to buildBlocked's
-// depth-first accumulation. A trailing odd row falls back to the 1×4
-// row kernel.
+// and their mirrors: the unit of work NewDistanceMatrix runs at
+// dimensions within one depth block, where buildBlocked would
+// degenerate to the same walk. Working on two rows at once lets the
+// inner loop run the 2×4 tile, which streams each column vector once
+// for two rows. The dots go through the blocked wrappers of gram.go,
+// so the result is bit-identical to buildBlocked's depth-first
+// accumulation. A trailing odd row falls back to the 1×4 row kernel.
 func (m *DistanceMatrix) buildRowPair(u int) {
 	n := m.n
 	if !m.gram {

@@ -149,28 +149,6 @@ func TestBlockedKernelQuick(t *testing.T) {
 	}
 }
 
-// TestParallelBitIdenticalToSerial: the worker count must never change
-// a single bit of the matrix — the determinism contract the scenario
-// runner builds on. Exact comparison, no tolerance.
-func TestParallelBitIdenticalToSerial(t *testing.T) {
-	rng := NewRNG(99)
-	for _, n := range []int{2, 3, 4, 5, 7, 8, 16, 31, 40} {
-		for _, workers := range []int{0, 1, 2, 3, 8, 100} {
-			vs := adversarialVectors(rng, n, 129)
-			serial := NewDistanceMatrix(vs)
-			par := NewDistanceMatrixParallel(vs, workers)
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					if serial.At(i, j) != par.At(i, j) {
-						t.Fatalf("n=%d workers=%d: cell (%d,%d) differs: %v vs %v",
-							n, workers, i, j, serial.At(i, j), par.At(i, j))
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestUpdateRowEquivalence is the incremental-path contract: after any
 // sequence of single-row mutations, the matrix is BIT-IDENTICAL to a
 // full rebuild over the final vector set. The guarantee is exact — not

@@ -148,8 +148,7 @@ func TestSumKSmallestBoundaries(t *testing.T) {
 		t.Errorf("single-vector matrix: got %v, want 0", got)
 	}
 	// All-equal vectors: every pairwise distance is an exact zero tie;
-	// every k must sum to 0 from every viewpoint — the degenerate
-	// input screened selection must also survive (its scores then tie
+	// every k must sum to 0 from every viewpoint (scores then tie
 	// completely and selection is decided by index alone).
 	allEq := NewDistanceMatrix([][]float64{{2, 2}, {2, 2}, {2, 2}, {2, 2}})
 	for i := 0; i < 4; i++ {
@@ -232,31 +231,47 @@ func TestKSmallestIndicesOracle(t *testing.T) {
 	}
 }
 
-func TestDistanceMatrixParallelMatchesSerial(t *testing.T) {
-	rng := NewRNG(42)
-	for _, n := range []int{2, 3, 7, 16} {
-		for _, workers := range []int{0, 1, 2, 8, 100} {
-			vs := make([][]float64, n)
-			for i := range vs {
-				vs[i] = rng.NewNormal(24, 0, 3)
-			}
-			serial := NewDistanceMatrix(vs)
-			par := NewDistanceMatrixParallel(vs, workers)
-			if par.N() != serial.N() {
-				t.Fatalf("n=%d workers=%d: N mismatch", n, workers)
-			}
-			for i := 0; i < n; i++ {
-				if !ApproxEqual(par.Row(i), serial.Row(i), 0) {
-					t.Fatalf("n=%d workers=%d: row %d differs", n, workers, i)
-				}
+// TestDistanceMatrixReleaseReuse pins that a matrix built on recycled
+// storage is bit-identical to one built on fresh storage: every
+// released matrix is poisoned with NaN first, so any cell (or norm) a
+// build read before writing would surface. The shapes cover the exact
+// kernel (d ≤ naiveDimMax), the row-pair Gram build and the depth-first
+// build (d > gramBlock), growing and shrinking between builds.
+func TestDistanceMatrixReleaseReuse(t *testing.T) {
+	rng := NewRNG(11)
+	shapes := []struct{ n, d int }{{9, 3000}, {4, 8}, {7, 500}, {12, 2100}, {3, 40}, {9, 3000}}
+	poisonAndRelease := func(m *DistanceMatrix) {
+		for _, s := range [][]float64{m.vecs, m.nrm, m.d} {
+			for i := range s {
+				s[i] = math.NaN()
 			}
 		}
+		m.Release()
 	}
-}
-
-func TestDistanceMatrixParallelSingleVector(t *testing.T) {
-	m := NewDistanceMatrixParallel([][]float64{{1, 2}}, 4)
-	if m.N() != 1 || m.At(0, 0) != 0 {
-		t.Error("single-vector matrix wrong")
+	for _, sh := range shapes {
+		vs := make([][]float64, sh.n)
+		for i := range vs {
+			vs[i] = rng.NewNormal(sh.d, 0, 1)
+		}
+		first := NewDistanceMatrix(vs)
+		want := append([]float64(nil), first.d...)
+		poisonAndRelease(first)
+		for _, other := range shapes {
+			ws := make([][]float64, other.n)
+			for i := range ws {
+				ws[i] = rng.NewNormal(other.d, 0, 1)
+			}
+			poisonAndRelease(NewDistanceMatrix(ws))
+			again := NewDistanceMatrix(vs)
+			for i := 0; i < sh.n; i++ {
+				for j := 0; j < sh.n; j++ {
+					if got, w := again.At(i, j), want[i*sh.n+j]; math.Float64bits(got) != math.Float64bits(w) {
+						t.Fatalf("n=%d d=%d after n=%d d=%d: cell (%d,%d) = %v, want %v",
+							sh.n, sh.d, other.n, other.d, i, j, got, w)
+					}
+				}
+			}
+			poisonAndRelease(again)
+		}
 	}
 }

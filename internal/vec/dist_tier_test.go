@@ -6,15 +6,15 @@ import (
 )
 
 // The cross-tier differential matrix. Every WITHIN-tier guarantee the
-// package makes (blocked ≡ oracle within the principled band, parallel
-// ≡ serial bit for bit, incremental ≡ rebuild bit for bit, screened ≡
-// dense index-for-index) must hold under each available tier — the
-// battery here forces each tier in turn and re-proves them. ACROSS
-// tiers only norm-relative agreement is promised (gram.go contract),
-// and the agreement tests below pin exactly that: adversarial
-// magnitudes stay inside the shared error band, and non-finite inputs
-// classify identically (a NaN cell under one tier is a NaN cell under
-// every tier) so screening decisions cannot diverge on poisoned rounds.
+// package makes (blocked ≡ oracle within the principled band,
+// incremental ≡ rebuild bit for bit) must hold under each available
+// tier — the battery here forces each tier in turn and re-proves them.
+// ACROSS tiers only norm-relative agreement is promised (gram.go
+// contract), and the agreement tests below pin exactly that:
+// adversarial magnitudes stay inside the shared error band, and
+// non-finite inputs classify identically (a NaN cell under one tier is
+// a NaN cell under every tier) so selection decisions cannot diverge
+// on poisoned rounds.
 
 // TestPropertyBatteryPerTier re-runs the within-tier determinism
 // battery once per available tier.
@@ -34,19 +34,6 @@ func TestPropertyBatteryPerTier(t *testing.T) {
 				checkMatrixInvariants(t, m)
 				checkAgainstOracle(t, m, vs)
 
-				// Parallel ≡ serial, bit for bit.
-				for _, workers := range []int{2, 5} {
-					par := NewDistanceMatrixParallel(vs, workers)
-					for i := 0; i < shape.n; i++ {
-						for j := 0; j < shape.n; j++ {
-							if m.At(i, j) != par.At(i, j) {
-								t.Fatalf("n=%d d=%d workers=%d: parallel cell (%d,%d) differs: %v vs %v",
-									shape.n, shape.d, workers, i, j, par.At(i, j), m.At(i, j))
-							}
-						}
-					}
-				}
-
 				// Incremental ≡ rebuild, bit for bit, after a mutation burst.
 				shadow := CloneAll(vs)
 				changed := make([]int, 0, shape.n)
@@ -65,30 +52,6 @@ func TestPropertyBatteryPerTier(t *testing.T) {
 						}
 					}
 				}
-
-				// Screened ≡ dense: same selection indices, and every
-				// materialized cell bit-equal to the dense matrix.
-				s := NewScreener(shadow)
-				k := shape.n/2 + 1
-				got := s.SelectKSmallest(k, shape.n-1)
-				want := s.selectDense(k, shape.n-1)
-				if len(got) != len(want) {
-					t.Fatalf("n=%d d=%d: screened selection length %d, dense %d", shape.n, shape.d, len(got), len(want))
-				}
-				for x := range got {
-					if got[x] != want[x] {
-						t.Fatalf("n=%d d=%d: screened selection %v, dense %v", shape.n, shape.d, got, want)
-					}
-				}
-				dm := s.Materialize()
-				for i := 0; i < shape.n; i++ {
-					for j := 0; j < shape.n; j++ {
-						if dm.At(i, j) != fresh.At(i, j) {
-							t.Fatalf("n=%d d=%d: screened cell (%d,%d) differs from dense: %v vs %v",
-								shape.n, shape.d, i, j, dm.At(i, j), fresh.At(i, j))
-						}
-					}
-				}
 			}
 		})
 	}
@@ -96,9 +59,9 @@ func TestPropertyBatteryPerTier(t *testing.T) {
 
 // TestBuildBlockedMatchesRowPair pins the loop-nest independence of the
 // canonical blocked order directly: at multi-block dimensions the
-// depth-first buildBlocked walk (what NewDistanceMatrix runs) and the
-// pair-at-a-time buildRowPair walk (what the parallel builder
-// distributes) must produce bit-identical matrices under every tier —
+// depth-first buildBlocked walk (what NewDistanceMatrix runs above one
+// depth block) and the pair-at-a-time buildRowPair walk (what it runs
+// within one) must produce bit-identical matrices under every tier —
 // each pair's lanes consume the same k-sequence either way, so any
 // difference is a seam bug.
 func TestBuildBlockedMatchesRowPair(t *testing.T) {
@@ -199,7 +162,7 @@ func TestCrossTierPair2BitIdentical(t *testing.T) {
 // TestCrossTierNonFiniteClassification: rows carrying NaN or ±Inf
 // (Byzantine payloads) must classify identically under every tier —
 // IEEE-754 makes NaN absorbing and Inf−Inf NaN in EVERY accumulation
-// order, so a poisoned cell is poisoned under all tiers and screening
+// order, so a poisoned cell is poisoned under all tiers and selection
 // decisions cannot diverge across a heterogeneous fleet. Compared via
 // Dist2 and raw cell values (checkMatrixInvariants would reject the
 // NaNs by design, so this test reads cells directly).

@@ -13,14 +13,14 @@ package vec
 // BIT-STABILITY CONTRACT (per tier — ROADMAP decision (a)): every
 // kernel TIER (tier.go) defines its own canonical accumulation order
 // for an inner product, and WITHIN a tier every entry point — dot4
-// columns, norms, row updates, the parallel builder, the screened
-// materialization, the incremental UpdateRow path — reproduces exactly
-// that order. IEEE-754 multiplication is commutative bit for bit and
-// the k-order never changes within a tier, so ⟨a,b⟩ is bit-identical
-// whichever kernel shape, goroutine count, or tile alignment computes
-// it. This is what lets DistanceMatrix.UpdateRow promise results
-// identical to a full rebuild, and the scenario runner promise
-// identical results across worker counts — all per tier.
+// columns, norms, row updates, the blocked and pair-at-a-time builds,
+// the incremental UpdateRow path — reproduces exactly that order.
+// IEEE-754 multiplication is commutative bit for bit and the k-order
+// never changes within a tier, so ⟨a,b⟩ is bit-identical whichever
+// kernel shape, loop nest, or tile alignment computes it. This is what
+// lets DistanceMatrix.UpdateRow promise results identical to a full
+// rebuild, and the scenario runner promise identical results across
+// worker counts — all per tier.
 //
 // The canonical order has two levels:
 //

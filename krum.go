@@ -53,7 +53,7 @@
 // round of proposals so that selection tracking, aggregation, and any
 // diagnostics build that matrix exactly once:
 //
-//	engine := krum.NewEngine(0)
+//	engine := krum.NewEngine()
 //	sel, _ := engine.Select(rule, proposals)      // builds the matrix
 //	_ = engine.Aggregate(rule, out, proposals)    // rebuilds it (new round)
 //
@@ -266,9 +266,9 @@ func SplitRuleSpecs(list string) []string { return core.SplitSpecs(list) }
 // rule with its parameters — CLI help text is built from this.
 func RuleUsage() string { return core.Usage() }
 
-// NewEngine returns a shared aggregation engine building each round's
-// distance matrix with the given number of goroutines (0 = serial).
-func NewEngine(parallel int) *Engine { return core.NewEngine(parallel) }
+// NewEngine returns a shared aggregation engine without a cross-round
+// cache.
+func NewEngine() *Engine { return core.NewEngine() }
 
 // NewRoundContext returns a context over one round's proposals; rules
 // invoked through it (core.SelectContext / core.AggregateContext) share

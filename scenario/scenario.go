@@ -83,18 +83,11 @@ type Spec struct {
 	// TrackSelection additionally records Byzantine-selection
 	// histograms (see distsgd.Config.TrackSelection).
 	TrackSelection bool `json:"track_selection,omitempty"`
-	// Parallel is the per-run distance-matrix goroutine count
-	// (0 = serial); cell-level concurrency belongs to Runner.Workers.
-	Parallel int `json:"parallel,omitempty"`
 	// Incremental enables the cross-round incremental distance cache
 	// (see distsgd.Config.Incremental). Results are bit-identical
 	// either way; the flag trades memory for skipped recomputation when
 	// proposals replay across rounds.
 	Incremental bool `json:"incremental,omitempty"`
-	// Screened enables norm + triangle-inequality screened selection
-	// (see distsgd.Config.Screened). Results are bit-identical either
-	// way; the flag prunes distance work at large n.
-	Screened bool `json:"screened,omitempty"`
 	// Arrival is the arrival-process registry spec selecting the
 	// bounded-staleness asynchronous mode (see
 	// distsgd.Config.ArrivalSpec), e.g. "bounded(tau=3)" or
@@ -216,9 +209,7 @@ func (s Spec) configWith(wl *workload.Workload) distsgd.Config {
 		EvalEvery:      s.EvalEvery,
 		EvalBatch:      s.EvalBatch,
 		TrackSelection: s.TrackSelection,
-		Parallel:       s.Parallel,
 		Incremental:    s.Incremental,
-		Screened:       s.Screened,
 		ArrivalSpec:    s.Arrival,
 	}
 }

@@ -273,57 +273,43 @@ func TestRunnerDeterministicWithIncrementalCache(t *testing.T) {
 	}
 }
 
-// TestRunnerDeterministicWithScreening extends the same contract to
-// screened selection: with Screened set on every cell, results must be
-// byte-identical across runner worker counts and against the dense
-// matrix. The Gaussian attack keeps a σ = 200 Byzantine population, so
-// the screened cells genuinely prune rows rather than evaluating
-// everything; the combination cell also sets Incremental, covering the
-// screener's cross-round bounds repair. Run under -race in CI, this is
-// the race-checked screened-vs-naive equivalence gate.
-func TestRunnerDeterministicWithScreening(t *testing.T) {
+// TestRunnerDeterministicUnderGaussianAttack extends the same
+// contract to a σ = 200 Byzantine population, where Krum and
+// Multi-Krum select against far-out proposals every round: results
+// must be byte-identical across runner worker counts and with the
+// incremental cache enabled. Run under -race in CI.
+func TestRunnerDeterministicUnderGaussianAttack(t *testing.T) {
 	base := quickSpec()
 	base.Attack = "gaussian(sigma=200)"
-	base.Screened = true
 	m := Matrix{
 		Base:  base,
 		Rules: []string{"krum", "multikrum(m=5)"},
 		Seeds: []uint64{5, 6},
 	}
-	prunes := vec.ScreenPruneCount()
 	serial, err := (&Runner{Workers: 1}).Run(m)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if vec.ScreenPruneCount() == prunes {
-		t.Error("screened matrix never pruned a row: screening path not exercised")
 	}
 	parallel, err := (&Runner{Workers: 8}).Run(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	denseMatrix := m
-	denseMatrix.Base.Screened = false
-	combinedMatrix := m
-	combinedMatrix.Base.Incremental = true
-	dense, err := (&Runner{Workers: 4}).Run(denseMatrix)
+	incrementalMatrix := m
+	incrementalMatrix.Base.Incremental = true
+	incremental, err := (&Runner{Workers: 4}).Run(incrementalMatrix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	combined, err := (&Runner{Workers: 4}).Run(combinedMatrix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != m.Size() || len(parallel) != m.Size() || len(dense) != m.Size() || len(combined) != m.Size() {
-		t.Fatalf("result counts: %d / %d / %d / %d, want %d",
-			len(serial), len(parallel), len(dense), len(combined), m.Size())
+	if len(serial) != m.Size() || len(parallel) != m.Size() || len(incremental) != m.Size() {
+		t.Fatalf("result counts: %d / %d / %d, want %d",
+			len(serial), len(parallel), len(incremental), m.Size())
 	}
 	for i := range serial {
 		a := serial[i]
 		for _, other := range []struct {
 			name string
 			r    CellResult
-		}{{"worker-count", parallel[i]}, {"dense", dense[i]}, {"screened+incremental", combined[i]}} {
+		}{{"worker-count", parallel[i]}, {"incremental", incremental[i]}} {
 			if !reflect.DeepEqual(a.Result.FinalParams, other.r.Result.FinalParams) {
 				t.Errorf("cell %d (%s): FinalParams differ vs %s", i, a.Spec.Label(), other.name)
 			}
@@ -334,12 +320,12 @@ func TestRunnerDeterministicWithScreening(t *testing.T) {
 	}
 }
 
-// TestSpecScreenedRoundTrip: the Screened axis must survive the JSON
-// round-trip (strict decoding included) and land in the compiled
-// distsgd.Config.
-func TestSpecScreenedRoundTrip(t *testing.T) {
+// TestSpecIncrementalRoundTrip: the Incremental flag must survive the
+// JSON round-trip (strict decoding included) and land in the compiled
+// distsgd.Config, and stay omitted when unset so the JSON form of older
+// specs — and their store keys — cannot shift.
+func TestSpecIncrementalRoundTrip(t *testing.T) {
 	s := quickSpec()
-	s.Screened = true
 	s.Incremental = true
 	blob, err := s.MarshalIndent()
 	if err != nil {
@@ -349,26 +335,23 @@ func TestSpecScreenedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !back.Screened || !back.Incremental {
-		t.Errorf("round-trip lost flags: %+v", back)
+	if !back.Incremental {
+		t.Errorf("round-trip lost the flag: %+v", back)
 	}
 	cfg, err := back.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cfg.Screened || !cfg.Incremental {
-		t.Errorf("compile lost flags: screened=%v incremental=%v", cfg.Screened, cfg.Incremental)
+	if !cfg.Incremental {
+		t.Error("compile lost the incremental flag")
 	}
-	// Unset it stays omitted — the JSON form of old specs is unchanged,
-	// so pre-existing store keys cannot shift.
-	s.Screened = false
 	s.Incremental = false
 	blob, err = s.MarshalIndent()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(blob), `"screened"`) || strings.Contains(string(blob), `"incremental"`) {
-		t.Errorf("zero-value flags serialized: %s", blob)
+	if strings.Contains(string(blob), `"incremental"`) {
+		t.Errorf("zero-value flag serialized: %s", blob)
 	}
 }
 

@@ -22,6 +22,8 @@ func FuzzDecodeMessage(f *testing.F) {
 		`{"worker_id": "w1"}`,
 		`{}`,
 		`{"task": {"id": "t1", "spec": {"workload": "gmm(k=3,dim=6)", "rule": "krum", "schedule": "const(gamma=0.1)", "n": 9, "f": 2, "rounds": 8, "batch_size": 8, "seed": 7}}}`,
+		// The two "screened" seeds name a removed spec field: the
+		// strict decoders must reject them.
 		`{"task": {"id": "t2", "spec": {"workload": "gmm(k=3,dim=6)", "rule": "krum", "schedule": "const(gamma=0.1)", "n": 9, "f": 2, "rounds": 8, "batch_size": 8, "seed": 7, "incremental": true, "screened": true}}}`,
 		`{"task": {"id": "t3", "spec": {"workload": "gmm(k=3,dim=6)", "rule": "krum", "schedule": "const(gamma=0.1)", "n": 9, "f": 2, "rounds": 8, "batch_size": 8, "seed": 7, "screened": false}}}`,
 		`{"task": {"id": "t4", "spec": {"workload": "gmm(k=3,dim=6)", "rule": "krum", "schedule": "const(gamma=0.1)", "n": 9, "f": 2, "rounds": 8, "batch_size": 8, "seed": 7, "incremental": true, "arrival": "bounded(tau=3)"}}}`,

@@ -14,11 +14,10 @@
 // object's canonical Name()/Spec form, so spelling variants collapse
 // to one key — "krum" at n=15, f=3 and "krum(f=3)" hit the same
 // entry, as do "Gaussian(sigma=200)" and "gaussian(sigma=200)". The
-// cosmetic fields (Name label, Parallel worker count) are excluded:
-// they cannot change a result. Everything else — including Seed,
-// EvalEvery/EvalBatch/TrackSelection (they change Result contents) and
-// the Incremental and Screened flags — is hashed, together with the
-// Version salt.
+// cosmetic Name label is excluded: it cannot change a result.
+// Everything else — including Seed, EvalEvery/EvalBatch/TrackSelection
+// (they change Result contents) and the Incremental flag — is hashed,
+// together with the Version salt.
 //
 // # Invalidation
 //
@@ -108,13 +107,12 @@ func canonicalWorkload(raw string, seed uint64) (string, error) {
 // Canonical returns the fully-resolved form of a spec — the identity
 // the store hashes. Axis spec strings are replaced by their registry
 // round-trip canonical forms (an empty attack becomes "none"), and the
-// result-irrelevant fields (Name, Parallel) are cleared. Canonical is
+// result-irrelevant Name label is cleared. Canonical is
 // idempotent: Canonical(Canonical(s)) == Canonical(s), because every
 // registry guarantees Parse(x.Name()) ≡ x.
 func Canonical(s scenario.Spec) (scenario.Spec, error) {
 	c := s
 	c.Name = ""
-	c.Parallel = 0
 	rule, err := core.ParseRuleIn(core.SpecContext{N: s.N, F: s.F}, s.Rule)
 	if err != nil {
 		return scenario.Spec{}, err
@@ -166,10 +164,9 @@ func Canonical(s scenario.Spec) (scenario.Spec, error) {
 // SHA-256 of the Version salt and the canonical spec's JSON. The key
 // is conservative: two specs sharing a key are guaranteed to produce
 // the same result under the current code version, but not every
-// result-identical pair shares a key — notably Incremental and
-// Screened are hashed (they are part of the cell's declared identity
-// even though results are bit-identical either way), so flipping
-// either recomputes; screened and unscreened cells can never alias.
+// result-identical pair shares a key — notably Incremental is hashed
+// (it is part of the cell's declared identity even though results are
+// bit-identical either way), so flipping it recomputes.
 func Key(s scenario.Spec) (string, error) {
 	c, err := Canonical(s)
 	if err != nil {
