@@ -4,10 +4,11 @@ GO ?= go
 # BENCH_scenario.json: the memoized Bulyan kernel, the concurrent
 # scenario-matrix runner throughput, the blocked/incremental/large-n
 # distance-matrix kernels, the result store's warm-vs-cold grid
-# economics, and the async incremental-cache win under
-# bounded-staleness arrival traffic. The BenchmarkDistanceMatrix
+# economics, the async incremental-cache win under
+# bounded-staleness arrival traffic, and the worker path (one
+# synthetic MNIST sample, one MLP gradient). The BenchmarkDistanceMatrix
 # pattern also matches the Incremental and LargeN variants.
-TRACKED_BENCHES ?= BenchmarkBulyanMemoized|BenchmarkScenarioMatrixRunner|BenchmarkDistanceMatrix|BenchmarkRunnerWithStore|BenchmarkRunIncrementalAsync
+TRACKED_BENCHES ?= BenchmarkBulyanMemoized|BenchmarkScenarioMatrixRunner|BenchmarkDistanceMatrix|BenchmarkRunnerWithStore|BenchmarkRunIncrementalAsync|BenchmarkSyntheticMNISTSample|BenchmarkMLPGradient
 
 # Per-target budget for the fuzz smoke pass (CI keeps it short; crank
 # it up locally for a real hunt).

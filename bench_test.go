@@ -18,10 +18,12 @@ import (
 	"testing"
 
 	"krum"
+	"krum/data"
 	"krum/internal/harness"
 	"krum/internal/vec"
 	"krum/scenario"
 	"krum/scenario/store"
+	"krum/workload"
 )
 
 // benchSeed keeps bench results stable across runs.
@@ -393,6 +395,58 @@ func BenchmarkScenarioMatrixRunner(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(cells*b.N)/b.Elapsed().Seconds(), "cells/s")
+}
+
+// BenchmarkSyntheticMNISTSample measures one worker draw from the
+// synthetic MNIST stream (tracked by `make bench`): size 10 is the
+// figure-grid workload, size 16 the paper-scale one. Sampling is most
+// of a figure-grid cell's time.
+func BenchmarkSyntheticMNISTSample(b *testing.B) {
+	for _, size := range []int{10, 16} {
+		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
+			w, err := workload.Parse(workload.SpecContext{Seed: benchSeed}, fmt.Sprintf("mnist(size=%d)", size))
+			if err != nil {
+				b.Fatal(err)
+			}
+			x := make([]float64, w.Dataset.Dim())
+			y := make([]float64, w.Dataset.OutDim())
+			rng := vec.NewRNG(benchSeed)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.Dataset.Sample(rng, x, y)
+			}
+		})
+	}
+}
+
+// BenchmarkMLPGradient measures one worker's mini-batch gradient
+// (tracked by `make bench`) at the figure-grid shape (mnist size 10,
+// 16 hidden units, batch 16) and the paper-scale shape (size 16, 48
+// hidden units, batch 4).
+func BenchmarkMLPGradient(b *testing.B) {
+	for _, c := range []struct {
+		spec  string
+		batch int
+	}{{"mnist(size=10,hidden=16)", 16}, {"mnist(size=16,hidden=48)", 4}} {
+		b.Run(fmt.Sprintf("%s/batch=%d", c.spec, c.batch), func(b *testing.B) {
+			w, err := workload.Parse(workload.SpecContext{Seed: benchSeed}, c.spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			m := w.Model.Clone()
+			x, y, err := data.NewBatch(w.Dataset, vec.NewRNG(benchSeed), c.batch)
+			if err != nil {
+				b.Fatal(err)
+			}
+			grad := make([]float64, m.Dim())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.Gradient(grad, x, y); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkRunnerWithStore measures the content-addressed result

@@ -22,6 +22,9 @@ type SyntheticMNIST struct {
 	size    int
 	noise   float64
 	classes int
+	// centers[i] is the unit-square coordinate of pixel i's center,
+	// shared by rows and columns.
+	centers []float64
 }
 
 // NewSyntheticMNIST returns a generator of size×size digit images with
@@ -34,7 +37,11 @@ func NewSyntheticMNIST(size int, noise float64) (*SyntheticMNIST, error) {
 	if noise < 0 || noise > 1 {
 		return nil, fmt.Errorf("noise %g outside [0, 1]: %w", noise, ErrConfig)
 	}
-	return &SyntheticMNIST{size: size, noise: noise, classes: 10}, nil
+	centers := make([]float64, size)
+	for i := range centers {
+		centers[i] = (float64(i) + 0.5) / float64(size)
+	}
+	return &SyntheticMNIST{size: size, noise: noise, classes: 10, centers: centers}, nil
 }
 
 // Dim implements Dataset.
@@ -121,6 +128,15 @@ func (m *SyntheticMNIST) Sample(rng *vec.RNG, x, y []float64) {
 
 // Render draws one randomized instance of the given digit into img
 // (len Size²), overwriting it. Pixels are in [0, 1].
+//
+// img doubles as the scratch space, so Render allocates nothing and
+// shares no state between callers. Pass 1 runs stroke by stroke and
+// leaves each pixel's minimum squared distance to the skeleton in img;
+// pass 2 walks the pixels in row-major order, turning that distance
+// into ink and drawing the pixel noise. The bytes equal the textbook
+// pixel-by-pixel loop (renderReference in the tests): Sqrt is monotone
+// and correctly rounded, so the root of the minimum is the minimum of
+// the roots, and the noise draws keep their pixel order.
 func (m *SyntheticMNIST) Render(rng *vec.RNG, digit int, img []float64) {
 	if digit < 0 || digit >= m.classes {
 		panic(fmt.Sprintf("data: digit %d out of range", digit))
@@ -139,45 +155,55 @@ func (m *SyntheticMNIST) Render(rng *vec.RNG, digit int, img []float64) {
 
 	// Transform the skeleton once.
 	strokes := digitStrokes[digit]
-	txs := make([]segment, len(strokes))
+	var txs [maxStrokes]stroke
 	for i, s := range strokes {
-		txs[i] = segment{
-			x1: transformX(s.x1, s.y1, scale, sin, cos) + dx,
-			y1: transformY(s.x1, s.y1, scale, sin, cos) + dy,
-			x2: transformX(s.x2, s.y2, scale, sin, cos) + dx,
-			y2: transformY(s.x2, s.y2, scale, sin, cos) + dy,
+		x1 := transformX(s.x1, s.y1, scale, sin, cos) + dx
+		y1 := transformY(s.x1, s.y1, scale, sin, cos) + dy
+		vx := transformX(s.x2, s.y2, scale, sin, cos) + dx - x1
+		vy := transformY(s.x2, s.y2, scale, sin, cos) + dy - y1
+		txs[i] = stroke{x1: x1, y1: y1, vx: vx, vy: vy, len2: vx*vx + vy*vy}
+	}
+
+	// Pass 1: minimum squared distance per pixel, stroke-major. Along a
+	// row the projection parameter t is monotone, so the clamp branches
+	// predict well.
+	centers := m.centers
+	for i := range img {
+		img[i] = math.Inf(1)
+	}
+	for i := range strokes {
+		s := &txs[i]
+		for py, cy := range centers {
+			row := img[py*len(centers):][:len(centers)]
+			wy := cy - s.y1
+			for px, cx := range centers {
+				if d2 := s.dist2(cx-s.x1, wy, cx, cy); d2 < row[px] {
+					row[px] = d2
+				}
+			}
 		}
 	}
 
-	sz := float64(m.size)
-	for py := 0; py < m.size; py++ {
-		cy := (float64(py) + 0.5) / sz
-		for px := 0; px < m.size; px++ {
-			cx := (float64(px) + 0.5) / sz
-			d := math.Inf(1)
-			for _, s := range txs {
-				if sd := segmentDist(cx, cy, s); sd < d {
-					d = sd
-				}
-			}
-			var intensity float64
-			switch {
-			case d <= thickness:
-				intensity = 1
-			default:
-				t := (d - thickness) / soft
-				intensity = math.Exp(-t * t)
-			}
-			if m.noise > 0 {
-				intensity += m.noise * rng.NormFloat64()
-			}
-			if intensity < 0 {
-				intensity = 0
-			} else if intensity > 1 {
-				intensity = 1
-			}
-			img[py*m.size+px] = intensity
+	// Pass 2: ink and noise in pixel order.
+	for p, d2 := range img {
+		d := math.Sqrt(d2)
+		var intensity float64
+		switch {
+		case d <= thickness:
+			intensity = 1
+		default:
+			t := (d - thickness) / soft
+			intensity = math.Exp(-t * t)
 		}
+		if m.noise > 0 {
+			intensity += m.noise * rng.NormFloat64()
+		}
+		if intensity < 0 {
+			intensity = 0
+		} else if intensity > 1 {
+			intensity = 1
+		}
+		img[p] = intensity
 	}
 }
 
@@ -193,22 +219,30 @@ func transformY(x, y, scale, sin, cos float64) float64 {
 	return 0.5 + scale*(rx*sin+ry*cos)
 }
 
-// segmentDist returns the Euclidean distance from point (px, py) to the
-// segment s.
-func segmentDist(px, py float64, s segment) float64 {
-	vx, vy := s.x2-s.x1, s.y2-s.y1
-	wx, wy := px-s.x1, py-s.y1
-	len2 := vx*vx + vy*vy
+// maxStrokes bounds len(digitStrokes[d]) for every digit.
+const maxStrokes = 8
+
+// stroke is a transformed skeleton segment from (x1, y1) to
+// (x1+vx, y1+vy), with len2 = vx²+vy².
+type stroke struct {
+	x1, y1, vx, vy, len2 float64
+}
+
+// dist2 returns the squared distance from the pixel center (cx, cy) to
+// the stroke, given (wx, wy) = (cx-x1, cy-y1); the caller hoists wy out
+// of the row loop. The projection parameter t is the clamped num/len2;
+// the numerator alone decides the clamp when it is negative (t = 0) or
+// at least len2 (the correctly rounded quotient is then ≥ 1, so t = 1),
+// and inside that range the quotient already lies in [0, 1].
+func (s *stroke) dist2(wx, wy, cx, cy float64) float64 {
+	num := wx*s.vx + wy*s.vy
 	var t float64
-	if len2 > 0 {
-		t = (wx*vx + wy*vy) / len2
-		if t < 0 {
-			t = 0
-		} else if t > 1 {
-			t = 1
-		}
+	if num >= s.len2 {
+		t = 1
+	} else if num > 0 {
+		t = num / s.len2
 	}
-	dx := px - (s.x1 + t*vx)
-	dy := py - (s.y1 + t*vy)
-	return math.Sqrt(dx*dx + dy*dy)
+	dx := cx - (s.x1 + t*s.vx)
+	dy := cy - (s.y1 + t*s.vy)
+	return dx*dx + dy*dy
 }

@@ -304,9 +304,11 @@ func Run(cfg Config) (*Result, error) {
 	// The engine hands out one RoundContext per round so that selection
 	// tracking and aggregation share a single distance matrix; the
 	// proposal slice and the pooled update buffer are reused across all
-	// rounds (every rule fully overwrites dst). With Incremental set
-	// the engine additionally carries the matrix across rounds,
-	// diffing each round's proposals lazily on first use.
+	// rounds (every rule fully overwrites dst). Each round's matrix is
+	// released to the pool once the step is taken, so the next round
+	// rebuilds into the same storage. With Incremental set the engine
+	// instead carries the matrix across rounds, diffing each round's
+	// proposals lazily on first use.
 	engine := core.NewEngine()
 	if cfg.Incremental {
 		engine.EnableCache()
@@ -402,6 +404,7 @@ func Run(cfg Config) (*Result, error) {
 		if err := opt.Step(params, update); err != nil {
 			return nil, fmt.Errorf("round %d step: %w", t, err)
 		}
+		round.Release()
 
 		if !vec.AllFinite(params) {
 			res.Diverged = true

@@ -116,7 +116,7 @@ func (Medoid) SelectContext(ctx *RoundContext) ([]int, error) {
 // ties broken by smallest index.
 func (m Medoid) Select(vectors [][]float64) ([]int, error) {
 	ctx := NewRoundContext(vectors)
-	defer ctx.release()
+	defer ctx.Release()
 	return m.SelectContext(ctx)
 }
 
@@ -136,7 +136,7 @@ func (m Medoid) AggregateContext(dst []float64, ctx *RoundContext) error {
 // Aggregate implements Rule.
 func (m Medoid) Aggregate(dst []float64, vectors [][]float64) error {
 	ctx := NewRoundContext(vectors)
-	defer ctx.release()
+	defer ctx.Release()
 	return m.AggregateContext(dst, ctx)
 }
 

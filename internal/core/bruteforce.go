@@ -89,7 +89,7 @@ func (md *MinimalDiameter) SelectContext(ctx *RoundContext) ([]int, error) {
 // n − F, ordered ascending.
 func (md *MinimalDiameter) Select(vectors [][]float64) ([]int, error) {
 	ctx := NewRoundContext(vectors)
-	defer ctx.release()
+	defer ctx.Release()
 	return md.SelectContext(ctx)
 }
 
@@ -114,7 +114,7 @@ func (md *MinimalDiameter) AggregateContext(dst []float64, ctx *RoundContext) er
 // Aggregate implements Rule: the average of the minimal-diameter subset.
 func (md *MinimalDiameter) Aggregate(dst []float64, vectors [][]float64) error {
 	ctx := NewRoundContext(vectors)
-	defer ctx.release()
+	defer ctx.Release()
 	return md.AggregateContext(dst, ctx)
 }
 

@@ -126,7 +126,7 @@ func (b *Bulyan) SelectContext(ctx *RoundContext) ([]int, error) {
 // iterated-Krum phase, in selection order.
 func (b *Bulyan) Select(vectors [][]float64) ([]int, error) {
 	ctx := NewRoundContext(vectors)
-	defer ctx.release()
+	defer ctx.Release()
 	return b.SelectContext(ctx)
 }
 
@@ -180,7 +180,7 @@ func (b *Bulyan) AggregateContext(dst []float64, ctx *RoundContext) error {
 // selected set around the median.
 func (b *Bulyan) Aggregate(dst []float64, vectors [][]float64) error {
 	ctx := NewRoundContext(vectors)
-	defer ctx.release()
+	defer ctx.Release()
 	return b.AggregateContext(dst, ctx)
 }
 

@@ -70,10 +70,11 @@ func (c *RoundContext) Distances() *vec.DistanceMatrix {
 	return c.dm
 }
 
-// release recycles a matrix the context built for itself once the
-// one-shot call that created the context is done with it. A matrix
-// served by the cross-round cache stays with the cache.
-func (c *RoundContext) release() {
+// Release recycles a matrix the context built for itself. Call it once
+// every consumer of the round is done with Distances: the one-shot rule
+// calls do so on return, and the training loop after the round's step.
+// A matrix served by the cross-round cache stays with the cache.
+func (c *RoundContext) Release() {
 	if c.dm != nil && c.cache == nil {
 		c.dm.Release()
 		c.dm = nil

@@ -74,7 +74,7 @@ func (g FiniteGuard) AggregateContext(dst []float64, ctx *RoundContext) error {
 	inner := ctx
 	if changed {
 		inner = NewRoundContext(sanitized)
-		defer inner.release()
+		defer inner.Release()
 	}
 	if err := AggregateContext(g.Inner, dst, inner); err != nil {
 		return fmt.Errorf("guarded %s: %w", g.Inner.Name(), err)
@@ -85,7 +85,7 @@ func (g FiniteGuard) AggregateContext(dst []float64, ctx *RoundContext) error {
 // Aggregate implements Rule.
 func (g FiniteGuard) Aggregate(dst []float64, vectors [][]float64) error {
 	ctx := NewRoundContext(vectors)
-	defer ctx.release()
+	defer ctx.Release()
 	return g.AggregateContext(dst, ctx)
 }
 
@@ -104,7 +104,7 @@ func (g FiniteGuard) SelectContext(ctx *RoundContext) ([]int, error) {
 	inner := ctx
 	if changed {
 		inner = NewRoundContext(sanitized)
-		defer inner.release()
+		defer inner.Release()
 	}
 	return SelectContext(sel, inner)
 }
@@ -114,6 +114,6 @@ func (g FiniteGuard) SelectContext(ctx *RoundContext) ([]int, error) {
 // malformed input.
 func (g FiniteGuard) Select(vectors [][]float64) ([]int, error) {
 	ctx := NewRoundContext(vectors)
-	defer ctx.release()
+	defer ctx.Release()
 	return g.SelectContext(ctx)
 }

@@ -103,7 +103,7 @@ func (k *Krum) scoresInto(ctx *RoundContext, scores []float64) error {
 func (k *Krum) Scores(vectors [][]float64) ([]float64, error) {
 	scores := make([]float64, len(vectors))
 	ctx := NewRoundContext(vectors)
-	defer ctx.release()
+	defer ctx.Release()
 	if err := k.scoresInto(ctx, scores); err != nil {
 		return nil, err
 	}
@@ -125,7 +125,7 @@ func (k *Krum) SelectContext(ctx *RoundContext) ([]int, error) {
 // because Argmin keeps the first minimum.
 func (k *Krum) Select(vectors [][]float64) ([]int, error) {
 	ctx := NewRoundContext(vectors)
-	defer ctx.release()
+	defer ctx.Release()
 	return k.SelectContext(ctx)
 }
 
@@ -146,7 +146,7 @@ func (k *Krum) AggregateContext(dst []float64, ctx *RoundContext) error {
 // Aggregate implements Rule: dst = V_{i*}.
 func (k *Krum) Aggregate(dst []float64, vectors [][]float64) error {
 	ctx := NewRoundContext(vectors)
-	defer ctx.release()
+	defer ctx.Release()
 	return k.AggregateContext(dst, ctx)
 }
 
@@ -201,7 +201,7 @@ func (mk *MultiKrum) SelectContext(ctx *RoundContext) ([]int, error) {
 // (score, index).
 func (mk *MultiKrum) Select(vectors [][]float64) ([]int, error) {
 	ctx := NewRoundContext(vectors)
-	defer ctx.release()
+	defer ctx.Release()
 	return mk.SelectContext(ctx)
 }
 
@@ -226,6 +226,6 @@ func (mk *MultiKrum) AggregateContext(dst []float64, ctx *RoundContext) error {
 // Aggregate implements Rule: dst = (1/M)·Σ V_i over the selected set.
 func (mk *MultiKrum) Aggregate(dst []float64, vectors [][]float64) error {
 	ctx := NewRoundContext(vectors)
-	defer ctx.release()
+	defer ctx.Release()
 	return mk.AggregateContext(dst, ctx)
 }

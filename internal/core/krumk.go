@@ -67,7 +67,7 @@ func (k *KrumK) SelectContext(ctx *RoundContext) ([]int, error) {
 // Select implements Selector.
 func (k *KrumK) Select(vectors [][]float64) ([]int, error) {
 	ctx := NewRoundContext(vectors)
-	defer ctx.release()
+	defer ctx.Release()
 	return k.SelectContext(ctx)
 }
 
@@ -87,6 +87,6 @@ func (k *KrumK) AggregateContext(dst []float64, ctx *RoundContext) error {
 // Aggregate implements Rule.
 func (k *KrumK) Aggregate(dst []float64, vectors [][]float64) error {
 	ctx := NewRoundContext(vectors)
-	defer ctx.release()
+	defer ctx.Release()
 	return k.AggregateContext(dst, ctx)
 }

@@ -72,8 +72,9 @@ func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("vec: RNG.Intn with non-positive n")
 	}
-	// Lemire-style rejection-free bound for our (non-cryptographic)
-	// purposes: the modulo bias is < 2^-40 for all n we use.
+	// Plain modulo reduction, no rejection: the bias is below n/2^64
+	// (< 2^-40 for every n we use), which is negligible for simulation.
+	// Changing the reduction would change every stored result.
 	return int(r.Uint64() % uint64(n))
 }
 
@@ -92,10 +93,12 @@ func (r *RNG) NormFloat64() float64 {
 	}
 	v = r.Float64()
 	radius := math.Sqrt(-2 * math.Log(u))
-	theta := 2 * math.Pi * v
-	r.gauss = radius * math.Sin(theta)
+	// Sincos runs the same argument reduction and polynomials as Sin
+	// and Cos, so the pair is bit-identical to calling both.
+	sin, cos := math.Sincos(2 * math.Pi * v)
+	r.gauss = radius * sin
 	r.hasGauss = true
-	return radius * math.Cos(theta)
+	return radius * cos
 }
 
 // FillNormal fills dst with i.i.d. N(mean, sigma²) samples.

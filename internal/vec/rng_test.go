@@ -1,6 +1,9 @@
 package vec
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 )
@@ -161,5 +164,23 @@ func TestShuffleKeepsMultiset(t *testing.T) {
 	}
 	if sum != 15 {
 		t.Errorf("Shuffle changed elements: %v", v)
+	}
+}
+
+// TestNormFloat64Golden pins the first 1000 NormFloat64 bit patterns
+// from a fixed seed. Every dataset, initializer and attack draws its
+// Gaussians here, so a change to these bytes changes every stored
+// result and must come with a store.Version bump.
+func TestNormFloat64Golden(t *testing.T) {
+	const want = "49f456420041123cee123cf358f57975b75e83fe4d91cc5a11b9b706915f9d4c"
+	r := NewRNG(12345)
+	h := sha256.New()
+	var b [8]byte
+	for i := 0; i < 1000; i++ {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(r.NormFloat64()))
+		h.Write(b[:])
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("NormFloat64 digest %s, want %s", got, want)
 	}
 }

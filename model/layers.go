@@ -80,14 +80,20 @@ func (l *Dense) Forward(x *vec.Dense) *vec.Dense {
 
 // Backward implements Layer.
 func (l *Dense) Backward(dout *vec.Dense) *vec.Dense {
-	// dW = xᵀ·dout, db = Σ rows(dout), dx = dout·Wᵀ.
-	vec.MatMulATB(l.gw, l.lastX, dout)
-	vec.SumRows(l.gb, dout)
+	// dx = dout·Wᵀ on top of the parameter gradients.
+	l.paramGrads(dout)
 	if l.dxBuf == nil || l.dxBuf.Rows != dout.Rows {
 		l.dxBuf = vec.NewDense(dout.Rows, l.In)
 	}
 	vec.MatMulABT(l.dxBuf, dout, l.w)
 	return l.dxBuf
+}
+
+// paramGrads is Backward without the input gradient: dW = xᵀ·dout and
+// db = Σ rows(dout). A network's first layer needs nothing more.
+func (l *Dense) paramGrads(dout *vec.Dense) {
+	vec.MatMulATB(l.gw, l.lastX, dout)
+	vec.SumRows(l.gb, dout)
 }
 
 // ParamCount implements Layer.

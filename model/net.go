@@ -17,6 +17,7 @@ type Network struct {
 	loss    Loss
 	offsets []int // offsets[i] is the flat index of layer i's params
 	dim     int
+	dout    *vec.Dense // loss-gradient buffer, resized with the batch
 }
 
 var _ Model = (*Network)(nil)
@@ -132,14 +133,23 @@ func (n *Network) Gradient(dst []float64, x, y *vec.Dense) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	dout := vec.NewDense(out.Rows, out.Cols)
-	loss, err := n.loss.Grad(dout, out, y)
+	if n.dout == nil || n.dout.Rows != out.Rows || n.dout.Cols != out.Cols {
+		n.dout = vec.NewDense(out.Rows, out.Cols)
+	}
+	loss, err := n.loss.Grad(n.dout, out, y)
 	if err != nil {
 		return 0, err
 	}
-	cur := dout
-	for i := len(n.layers) - 1; i >= 0; i-- {
+	cur := n.dout
+	for i := len(n.layers) - 1; i > 0; i-- {
 		cur = n.layers[i].Backward(cur)
+	}
+	// Nothing consumes the input gradient of the first layer, so a
+	// dense first layer skips its dout·Wᵀ product.
+	if d, ok := n.layers[0].(*Dense); ok {
+		d.paramGrads(cur)
+	} else {
+		n.layers[0].Backward(cur)
 	}
 	for i, l := range n.layers {
 		if c := l.ParamCount(); c > 0 {
@@ -171,7 +181,8 @@ func (n *Network) Predict(x *vec.Dense) (*vec.Dense, error) {
 	return cp, nil
 }
 
-// Clone implements Model.
+// Clone implements Model. The clone gets its own layer and loss-gradient
+// buffers, so it can train concurrently with n.
 func (n *Network) Clone() Model {
 	layers := make([]Layer, len(n.layers))
 	for i, l := range n.layers {
